@@ -4,7 +4,10 @@
 //!
 //! Flags (after `--`):
 //! * `--smoke` — small corpus sizes and one iteration (CI smoke mode);
-//! * `--json`  — additionally write `BENCH_scale.json` at the repo root.
+//! * `--json`  — additionally write `BENCH_scale.json` at the repo root;
+//! * `--assert-linear-gen` — exit nonzero when the single-file sweep's
+//!   generation cost per obligation at the largest size exceeds
+//!   [`LINEAR_GEN_BOUND`] times its cost at the smallest.
 //!
 //! Per corpus size (total obligations across a multi-file corpus; the
 //! corpus generator is `dml_oracle::scale`, seeded and stamped with
@@ -25,6 +28,13 @@
 //!   a flushed priming session): every canonical goal is served from
 //!   the disk tier, the cross-process warm-start story.
 //!
+//! A separate single-file sweep (`single_file` in the report) puts the
+//! whole corpus in one file — 1k, 10k and 100k obligations; 300, 1200
+//! and 4800 in smoke mode — and times phase 1 (ML inference) and phase 2
+//! (dependent elaboration) in process, without solving. Generation is one
+//! pass over the program, so its cost per obligation should stay flat as
+//! the file grows.
+//!
 //! Peak RSS is the `/proc/self/status` VmHWM high-water mark, reset
 //! between configs where the kernel allows (`rss_reset_supported` in
 //! the report; without the reset the readings are monotone across
@@ -33,11 +43,15 @@
 use dml::{check_batch, BatchEntry, Compiler};
 use dml_bench::json::Json;
 use dml_bench::rss;
-use dml_oracle::scale::{gen_scale_corpus, verify_scale_case, ScaleConfig};
+use dml_oracle::scale::{gen_scale_corpus, verify_scale_case, ScaleCase, ScaleConfig};
+use dml_syntax::ast::Decl;
 use std::time::{Duration, Instant};
 
 const REPORT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scale.json");
 const SEED: u64 = 20260808;
+/// Largest allowed ratio of per-obligation generation cost between the
+/// largest and the smallest single-file size under `--assert-linear-gen`.
+const LINEAR_GEN_BOUND: f64 = 2.0;
 
 fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
@@ -98,6 +112,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let write_json = args.iter().any(|a| a == "--json");
+    let assert_linear_gen = args.iter().any(|a| a == "--assert-linear-gen");
     // Corpus sizes in total obligations. The full sweep tops out past
     // 10k obligations (the acceptance bar for the committed report);
     // smoke keeps CI wall time in seconds.
@@ -128,6 +143,10 @@ fn main() {
          cold {cold_rate:.0} goals/s, warm {warm_rate:.0} goals/s ({warm_speedup:.1}x)"
     );
 
+    let single_sizes: &[usize] =
+        if smoke { &[300, 1_200, 4_800] } else { &[1_000, 10_000, 100_000] };
+    let (single_file, gen_growth) = single_file_sweep(single_sizes);
+
     if write_json {
         let report = Json::obj([
             ("suite", Json::Str("scale_suite".to_string())),
@@ -137,6 +156,7 @@ fn main() {
             ("jobs_auto", Json::Int(auto_jobs as i64)),
             ("rss_reset_supported", Json::Bool(rss_reset)),
             ("sizes", Json::Array(size_rows)),
+            ("single_file", single_file),
             (
                 "totals",
                 Json::obj([
@@ -150,6 +170,83 @@ fn main() {
         std::fs::write(REPORT_PATH, report.render() + "\n").expect("write BENCH_scale.json");
         println!("wrote {REPORT_PATH}");
     }
+
+    if assert_linear_gen && gen_growth > LINEAR_GEN_BOUND {
+        eprintln!(
+            "scale_suite: single-file generation cost per obligation grew {gen_growth:.2}x \
+             from the smallest to the largest size (bound {LINEAR_GEN_BOUND}x)"
+        );
+        std::process::exit(1);
+    }
+}
+
+/// Phase-1 and phase-2 wall time for one single-file case, best of
+/// `iters` runs. The obligation count is checked against the stamp.
+fn time_generation(case: &ScaleCase, iters: usize) -> (Duration, Duration) {
+    let program = dml_syntax::parse_program(&case.source).expect("scale case parses");
+    let mut gen = dml_index::VarGen::new();
+    let mut env = dml_types::builtins::base_env(&mut gen);
+    for d in &program.decls {
+        match d {
+            Decl::Datatype(dd) => env.add_datatype(dd, &mut gen),
+            Decl::Typeref(tr) => env.add_typeref(tr, &mut gen),
+            Decl::Assert(sigs) => env.add_assert(sigs, &dml_types::builtins::check_kind, &mut gen),
+            _ => Ok(()),
+        }
+        .expect("scale case environment");
+    }
+    let mut best = (Duration::MAX, Duration::MAX);
+    for _ in 0..iters {
+        let t0 = Instant::now();
+        let phase1 = dml_types::infer_program(&program, &env).expect("phase 1");
+        let t1 = Instant::now();
+        let out = dml_elab::elaborate(&program, &env, &phase1, gen.clone()).expect("phase 2");
+        let t2 = Instant::now();
+        assert_eq!(out.obligations.len(), case.obligations, "{}: obligation count", case.name);
+        best.0 = best.0.min(t1 - t0);
+        best.1 = best.1.min(t2 - t1);
+    }
+    best
+}
+
+/// The single-file generation sweep: returns the `single_file` report
+/// block and the growth of per-obligation cost from the smallest to the
+/// largest size.
+fn single_file_sweep(sizes: &[usize]) -> (Json, f64) {
+    let mut rows = Vec::new();
+    let mut per_ob = Vec::new();
+    for &target in sizes {
+        let corpus = gen_scale_corpus(&ScaleConfig::new(SEED, target).files(1));
+        let case = &corpus.cases[0];
+        let (p1, p2) = time_generation(case, 3);
+        let us = |d: Duration| d.as_secs_f64() * 1e6 / case.obligations as f64;
+        let gen_us = us(p1 + p2);
+        println!(
+            "scale_suite/single_file/{target}: {} obligations, phase 1 {:.1} us/ob, \
+             phase 2 {:.1} us/ob, generation {gen_us:.1} us/ob",
+            case.obligations,
+            us(p1),
+            us(p2)
+        );
+        per_ob.push(gen_us);
+        rows.push(Json::obj([
+            ("target_obligations", Json::Int(target as i64)),
+            ("obligations", Json::Int(case.obligations as i64)),
+            ("phase1_ms", Json::Num(ms(p1))),
+            ("phase2_ms", Json::Num(ms(p2))),
+            ("phase1_us_per_obligation", Json::Num(us(p1))),
+            ("phase2_us_per_obligation", Json::Num(us(p2))),
+            ("gen_us_per_obligation", Json::Num(gen_us)),
+        ]));
+    }
+    let growth = per_ob.last().expect("sizes") / per_ob.first().expect("sizes");
+    println!("scale_suite/single_file: per-obligation generation cost grew {growth:.2}x");
+    let json = Json::obj([
+        ("sizes", Json::Array(rows)),
+        ("gen_cost_growth", Json::Num(growth)),
+        ("gen_cost_growth_bound", Json::Num(LINEAR_GEN_BOUND)),
+    ]);
+    (json, growth)
 }
 
 struct SizeResult {
@@ -159,9 +256,10 @@ struct SizeResult {
 }
 
 fn run_size(target: usize, iters: usize, auto_jobs: usize, rss_reset: bool) -> SizeResult {
-    // Spread the corpus so no single file crosses into the superlinear
-    // generation regime (see EXPERIMENTS.md); floor of 2 files keeps the
-    // jobs axis meaningful even in smoke mode.
+    // About 600 obligations per file gives the batch a build-tree shape
+    // and `--jobs` files to distribute; the floor of 2 files keeps the
+    // jobs axis meaningful even in smoke mode. (Single-file scaling is
+    // the separate `single_file` sweep.)
     let files = (target / 600).clamp(2, 32);
     let cfg = ScaleConfig::new(SEED, target).files(files);
     let corpus = gen_scale_corpus(&cfg);

@@ -492,6 +492,12 @@ impl Compiler {
         self.solver().cache().flush_disk()
     }
 
+    /// A handle with this handle's configuration and a solver session of
+    /// its own, not yet created: an empty verdict cache, no disk store.
+    pub fn fresh(&self) -> Compiler {
+        Compiler { session: OnceLock::new(), ..self.clone() }
+    }
+
     /// The solver options this session will compile with.
     pub fn options(&self) -> &SolverOptions {
         &self.options

@@ -5,11 +5,17 @@
 //! connection, connections accepted one after another. Parallelism lives
 //! *below* this layer, in the solver's worker pool; serialising requests
 //! keeps verdict output deterministic and the session state free of locks.
+//!
+//! Each request runs under `catch_unwind`: a panic is answered in-band as
+//! an `internal-error` and the session restarts, so no request can take
+//! the daemon down.
 
 use super::protocol::{self, ErrorCode, Request, Value};
 use super::session::{CheckOutcome, Session};
 use dml_obs::json::{obj, Json};
+use std::any::Any;
 use std::io::{self, BufRead, Write};
+use std::panic::{self, AssertUnwindSafe};
 
 /// Serves one connection until EOF or a `shutdown` request. Returns
 /// `Ok(true)` when the client asked the whole service to shut down,
@@ -39,7 +45,7 @@ pub fn serve_connection<R: BufRead, W: Write>(
         };
         let id = request.id.clone();
         let shutdown = request.method == "shutdown";
-        let response = match dispatch(session, &request) {
+        let response = match guarded(session, |s| dispatch(s, &request)) {
             Ok(result) => protocol::response_ok(id.as_ref(), result),
             Err((code, message)) => protocol::response_err(id.as_ref(), code, &message),
         };
@@ -97,6 +103,29 @@ fn write_response<W: Write>(writer: &mut W, response: String) -> io::Result<()> 
 }
 
 type MethodError = (ErrorCode, String);
+
+/// Runs `handler` on the session, turning a panic into an in-band
+/// [`ErrorCode::Internal`] carrying the panic message. The session is then
+/// restarted from its options (see [`Session::restart`]).
+fn guarded(
+    session: &mut Session,
+    handler: impl FnOnce(&mut Session) -> Result<Json, MethodError>,
+) -> Result<Json, MethodError> {
+    match panic::catch_unwind(AssertUnwindSafe(|| handler(session))) {
+        Ok(result) => result,
+        Err(payload) => {
+            session.restart();
+            Err((ErrorCode::Internal, format!("internal error: {}", panic_message(&*payload))))
+        }
+    }
+}
+
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    match payload.downcast_ref::<&str>() {
+        Some(s) => s,
+        None => payload.downcast_ref::<String>().map_or("non-string panic payload", String::as_str),
+    }
+}
 
 fn dispatch(session: &mut Session, request: &Request) -> Result<Json, MethodError> {
     match request.method.as_str() {
@@ -268,6 +297,34 @@ mod tests {
         assert_eq!(codes, ["bad-request", "unknown-method", "bad-params", "compile-error"]);
         assert_eq!(rs[1].get("id").and_then(Value::as_str), Some("m"));
         assert_eq!(rs[2].get("id").and_then(Value::as_i64), Some(5));
+    }
+
+    #[test]
+    fn panicking_request_is_answered_in_band_and_the_daemon_recovers() {
+        let mut session = Session::new(Compiler::new());
+        let (code, message) =
+            guarded(&mut session, |_| panic!("elaborator invariant broken")).unwrap_err();
+        assert_eq!(code, ErrorCode::Internal);
+        assert_eq!(message, "internal error: elaborator invariant broken");
+
+        let script = format!(
+            "{{\"schemaVersion\":1,\"id\":1,\"method\":\"check\",\
+               \"params\":{{\"source\":\"{VERIFIED}\",\"path\":\"a.dml\"}}}}\n\
+             {{\"schemaVersion\":1,\"id\":2,\"method\":\"stats\"}}\n"
+        );
+        let (_, rs) = drive(&mut session, &script);
+        let check = rs[0].get("result").expect("check after a panic succeeds");
+        assert_eq!(check.get("fullyVerified").and_then(Value::as_bool), Some(true));
+        let report = check.get("report").and_then(Value::as_str).expect("report");
+        let one_shot = Compiler::new().compile(&VERIFIED.replace("\\n", "\n")).unwrap();
+        assert_eq!(
+            crate::report::stable_body(report),
+            crate::report::stable_body(
+                &crate::report::check_report(&one_shot, &VERIFIED.replace("\\n", "\n")).text
+            )
+        );
+        let stats = rs[1].get("result").expect("stats succeeds");
+        assert_eq!(stats.get("restarts").and_then(Value::as_i64), Some(1));
     }
 
     #[test]

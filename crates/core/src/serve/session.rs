@@ -12,6 +12,7 @@ use crate::report::{check_report, CheckReport};
 use dml_obs::json::{obj, Json};
 use dml_obs::TimingHistogram;
 use std::collections::HashMap;
+use std::path::PathBuf;
 use std::time::Instant;
 
 /// Everything a `check` request reports back.
@@ -36,6 +37,8 @@ pub struct SessionStats {
     pub requests: HashMap<&'static str, u64>,
     /// Wall-clock latency of `check` requests.
     pub check_latency: TimingHistogram,
+    /// Times the session was rebuilt after a request panicked.
+    pub restarts: u64,
 }
 
 /// A persistent check service: one configured compiler session serving
@@ -43,6 +46,9 @@ pub struct SessionStats {
 #[derive(Debug)]
 pub struct Session {
     compiler: Compiler,
+    /// The disk store attached when the session was created, re-attached
+    /// by [`Session::restart`].
+    disk_path: Option<PathBuf>,
     files: HashMap<String, FileState>,
     stats: SessionStats,
     started: Instant,
@@ -56,6 +62,7 @@ impl Session {
     pub fn new(compiler: Compiler) -> Session {
         dml_solver::pool::prewarm();
         Session {
+            disk_path: compiler.solver().cache().disk_path(),
             compiler,
             files: HashMap::new(),
             stats: SessionStats::default(),
@@ -66,6 +73,22 @@ impl Session {
     /// The underlying compiler handle.
     pub fn compiler(&self) -> &Compiler {
         &self.compiler
+    }
+
+    /// Replaces the session with a fresh one built from the same options:
+    /// a new solver session (re-attaching the disk store it started with)
+    /// and no per-file state. Statistics and uptime carry over. The
+    /// server calls this after a request panicked, since the panic may
+    /// have left a cache lock poisoned or a file's state half-written.
+    /// Verdicts not yet flushed to the disk store are dropped.
+    pub fn restart(&mut self) {
+        let mut compiler = self.compiler.fresh();
+        if let Some(path) = self.disk_path.take() {
+            compiler = compiler.disk_cache(path);
+        }
+        let stats = std::mem::take(&mut self.stats);
+        *self = Session { stats, started: self.started, ..Session::new(compiler) };
+        self.stats.restarts += 1;
     }
 
     /// Checks `src`. With a `path`, the session remembers the file's
@@ -178,6 +201,7 @@ impl Session {
                 ]),
             ),
             ("filesTracked", Json::Int(self.files.len() as i64)),
+            ("restarts", Json::Int(self.stats.restarts as i64)),
         ])
     }
 
@@ -270,6 +294,24 @@ where second <| {n:nat | n > 1} int array(n) -> int
         assert!(s.check(Some("c.dml"), "fun broken(").is_err());
         let after = s.check(Some("c.dml"), TWO_FUNS).unwrap();
         assert!(!after.incremental, "state was cleared by the failed check");
+    }
+
+    #[test]
+    fn restart_keeps_options_and_disk_store_but_drops_state() {
+        let dir = std::env::temp_dir().join(format!("dml-session-restart-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let store = dir.join("verdicts.store");
+        let mut s = Session::new(Compiler::new().strict(true).disk_cache(&store));
+        s.check(Some("e.dml"), TWO_FUNS).unwrap();
+        s.restart();
+        assert!(s.compiler().is_strict());
+        assert_eq!(s.compiler().solver().cache().disk_path(), Some(store));
+        assert_eq!(s.stats().requests["check"], 1);
+        assert_eq!(s.stats().restarts, 1);
+        let again = s.check(Some("e.dml"), TWO_FUNS).unwrap();
+        assert!(!again.incremental, "file state was dropped");
+        assert!(again.stats.solver.cache_misses > 0, "the verdict cache starts empty");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -28,6 +28,7 @@ use dml_types::convert::{Converter, Scope};
 use dml_types::env::{CheckKind, Env};
 use dml_types::infer::InferResult;
 use dml_types::ml::erase;
+use dml_types::scoped::ScopedMap;
 use dml_types::ty::{Binder, Ix, Scheme, Ty};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -92,7 +93,7 @@ pub fn elaborate(
     gen: VarGen,
 ) -> Result<ElabOutput, ElabError> {
     let mut el = Elaborator::new(env, phase1, gen);
-    let mut vals: Vals = HashMap::new();
+    let mut vals = Vals::new();
     let scope = Scope::new();
     for d in &program.decls {
         el.decl(d, &mut vals, &scope)?;
@@ -101,13 +102,15 @@ pub fn elaborate(
         el.flush_pending(0);
     }
     let mut top_level = HashMap::new();
-    for (name, scheme) in &vals {
+    for (name, scheme) in vals.iter() {
         top_level.insert(name.clone(), el.zonk_scheme(scheme));
     }
     Ok(ElabOutput { obligations: el.obligations, top_level, gen: el.gen, contexts: el.contexts })
 }
 
-type Vals = HashMap<String, Scheme>;
+/// The value environment: one scoped map threaded through the program,
+/// with a mark taken and rolled back around every binding scope.
+type Vals = ScopedMap<String, Scheme>;
 
 /// A context entry.
 #[derive(Debug, Clone)]
@@ -539,7 +542,7 @@ impl<'e> Elaborator<'e> {
         &mut self,
         f: &sast::FunDecl,
         scheme: &Scheme,
-        vals: &Vals,
+        vals: &mut Vals,
         scope: &Scope,
     ) -> Result<(), ElabError> {
         self.fun_stack.push(f.name.name.clone());
@@ -552,12 +555,12 @@ impl<'e> Elaborator<'e> {
         &mut self,
         f: &sast::FunDecl,
         scheme: &Scheme,
-        vals: &Vals,
+        vals: &mut Vals,
         scope: &Scope,
     ) -> Result<(), ElabError> {
         for clause in &f.clauses {
             let mark = self.scope_begin();
-            let mut cvals = vals.clone();
+            let vmark = vals.mark();
             let mut cscope = scope.clone();
             // Clause checking instantiates the leading Π variables
             // *existentially*; pattern matching supplies the defining
@@ -594,10 +597,11 @@ impl<'e> Elaborator<'e> {
                         f.name.span,
                     ));
                 };
-                self.bind_pattern(param, &dom, &mut cvals)?;
+                self.bind_pattern(param, &dom, vals)?;
                 ty = *cod;
             }
-            self.check(&clause.body, &ty, &cvals, &cscope)?;
+            self.check(&clause.body, &ty, vals, &cscope)?;
+            vals.rollback(vmark);
             self.scope_end(mark);
         }
         self.check_clause_exhaustiveness(f, scheme)?;
@@ -1036,7 +1040,7 @@ impl<'e> Elaborator<'e> {
         &mut self,
         e: &sast::Expr,
         want: &Ty,
-        vals: &Vals,
+        vals: &mut Vals,
         scope: &Scope,
     ) -> Result<(), ElabError> {
         let want = self.resolve_shallow(want);
@@ -1091,21 +1095,24 @@ impl<'e> Elaborator<'e> {
                 let st = self.unpack_sigmas(st);
                 for (p, body) in arms {
                     let mark = self.scope_begin();
-                    let mut avals = vals.clone();
-                    self.bind_pattern(p, &st, &mut avals)?;
+                    let vmark = vals.mark();
+                    self.bind_pattern(p, &st, vals)?;
                     self.record_site(SiteRole::CaseArm { con: self.arm_con(p) }, p.span(), None);
-                    self.check(body, &want, &avals, scope)?;
+                    self.check(body, &want, vals, scope)?;
+                    vals.rollback(vmark);
                     self.scope_end(mark);
                 }
                 self.check_exhaustiveness(&st, arms, *span)?;
                 Ok(())
             }
             sast::Expr::Let(decls, body, _) => {
-                let mut lvals = vals.clone();
+                let vmark = vals.mark();
                 for d in decls {
-                    self.decl(d, &mut lvals, scope)?;
+                    self.decl(d, vals, scope)?;
                 }
-                self.check(body, &want, &lvals, scope)
+                self.check(body, &want, vals, scope)?;
+                vals.rollback(vmark);
+                Ok(())
             }
             sast::Expr::Seq(es, _) => {
                 let (last, init) = es.split_last().expect("parser ensures non-empty");
@@ -1137,9 +1144,10 @@ impl<'e> Elaborator<'e> {
                 Ty::Arrow(dom, cod) => {
                     for (p, body) in arms {
                         let mark = self.scope_begin();
-                        let mut avals = vals.clone();
-                        self.bind_pattern(p, dom, &mut avals)?;
-                        self.check(body, cod, &avals, scope)?;
+                        let vmark = vals.mark();
+                        self.bind_pattern(p, dom, vals)?;
+                        self.check(body, cod, vals, scope)?;
+                        vals.rollback(vmark);
                         self.scope_end(mark);
                     }
                     Ok(())
@@ -1183,7 +1191,7 @@ impl<'e> Elaborator<'e> {
     // Synthesis.
     // -----------------------------------------------------------------
 
-    fn synth(&mut self, e: &sast::Expr, vals: &Vals, scope: &Scope) -> Result<Ty, ElabError> {
+    fn synth(&mut self, e: &sast::Expr, vals: &mut Vals, scope: &Scope) -> Result<Ty, ElabError> {
         match e {
             sast::Expr::Var(id) => self.lookup(id, vals),
             sast::Expr::Int(n, _) => Ok(Ty::int_singleton(IExp::lit(*n))),
@@ -1238,11 +1246,12 @@ impl<'e> Elaborator<'e> {
                 let mut out: Option<Ty> = None;
                 for (p, body) in arms {
                     let mark = self.scope_begin();
-                    let mut avals = vals.clone();
-                    self.bind_pattern(p, &st, &mut avals)?;
+                    let vmark = vals.mark();
+                    self.bind_pattern(p, &st, vals)?;
                     self.record_site(SiteRole::CaseArm { con: self.arm_con(p) }, p.span(), None);
-                    let bt = self.synth(body, &avals, scope)?;
+                    let bt = self.synth(body, vals, scope)?;
                     let bt = self.zonk(&bt);
+                    vals.rollback(vmark);
                     self.scope_end(mark);
                     out = Some(match out {
                         None => bt,
@@ -1253,11 +1262,13 @@ impl<'e> Elaborator<'e> {
                 out.ok_or_else(|| ElabError::new("empty case expression", *span))
             }
             sast::Expr::Let(decls, body, _) => {
-                let mut lvals = vals.clone();
+                let vmark = vals.mark();
                 for d in decls {
-                    self.decl(d, &mut lvals, scope)?;
+                    self.decl(d, vals, scope)?;
                 }
-                self.synth(body, &lvals, scope)
+                let bt = self.synth(body, vals, scope)?;
+                vals.rollback(vmark);
+                Ok(bt)
             }
             sast::Expr::Seq(es, _) => {
                 let (last, init) = es.split_last().expect("parser ensures non-empty");
@@ -1346,7 +1357,7 @@ impl<'e> Elaborator<'e> {
     fn synth_cond(
         &mut self,
         e: &sast::Expr,
-        vals: &Vals,
+        vals: &mut Vals,
         scope: &Scope,
     ) -> Result<Option<Prop>, ElabError> {
         let t = self.synth(e, vals, scope)?;
@@ -1362,8 +1373,7 @@ impl<'e> Elaborator<'e> {
 
     fn lookup(&mut self, id: &sast::Ident, vals: &Vals) -> Result<Ty, ElabError> {
         if let Some(s) = vals.get(&id.name) {
-            let s = s.clone();
-            return Ok(self.instantiate(&s));
+            return Ok(self.instantiate(s));
         }
         if self.env.is_constructor(&id.name) {
             return Ok(self.con_type(&id.name));
@@ -1405,7 +1415,7 @@ impl<'e> Elaborator<'e> {
         callee: Option<&str>,
         arg: &sast::Expr,
         span: Span,
-        vals: &Vals,
+        vals: &mut Vals,
         scope: &Scope,
     ) -> Result<Ty, ElabError> {
         let mut ty = self.resolve_shallow(&fun_ty);

@@ -329,3 +329,38 @@ fn top_level_schemes_recorded() {
     let s = out.top_level["dotprod"].to_string();
     assert!(s.contains("array"), "{s}");
 }
+
+/// `k` is the singleton `int(3)` at the top level and an unrefined int
+/// inside each scope; every `sub(v, k)` after a scope is provable only
+/// against the restored top-level binding. `a` and `b` elaborate their
+/// scopes in synthesis mode, `a2` and `b2` in checking mode.
+const SHADOWED_K: &str = r#"
+val k = 3
+fun a(v, j) = (case j of k => k + 1; sub(v, k))
+where a <| {n:nat | n > 3} int array(n) * int -> int
+fun a2(v, j) = (case j of k => k + 1, sub(v, k))
+where a2 <| {n:nat | n > 3} int array(n) * int -> int * int
+fun b(v, j) = (let val k = j in k end; sub(v, k))
+where b <| {n:nat | n > 3} int array(n) * int -> int
+fun b2(v, j) = (let val k = j in k end, sub(v, k))
+where b2 <| {n:nat | n > 3} int array(n) * int -> int * int
+fun c(v, j) = (((fn k => k + 1) : int -> int) j; sub(v, k))
+where c <| {n:nat | n > 3} int array(n) * int -> int
+fun d(k) = k + 1
+fun e(v) = sub(v, k)
+where e <| {n:nat | n > 3} int array(n) -> int
+"#;
+
+#[test]
+fn shadowing_scopes_restore_the_outer_binding() {
+    let (out, results) = run(SHADOWED_K);
+    assert!(all_valid(&results), "failures:\n{}", failures(&results).join("\n"));
+    let mut funs: Vec<_> = out.check_obligations().map(|o| o.in_fun.as_str()).collect();
+    funs.dedup();
+    assert_eq!(funs, ["a", "a2", "b", "b2", "c", "e"]);
+    // Control: the same access under the shadowing binding is unprovable,
+    // so a binding that leaked out of its scope would fail the test above.
+    let (_, results) = run("val k = 3  fun a(v, j) = (case j of k => sub(v, k))\n\
+         where a <| {n:nat | n > 3} int array(n) * int -> int");
+    assert!(!all_valid(&results));
+}

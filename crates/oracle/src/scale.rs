@@ -30,9 +30,10 @@
 //! stamp is a divergence, whatever the configuration.
 //!
 //! The generator is deterministic per seed and splits the corpus across
-//! files: constraint generation is superlinear in single-file size (see
-//! `EXPERIMENTS.md`), and the multi-file shape is both the realistic
-//! multi-tenant workload and what `dmlc check --jobs N` fans out.
+//! files: a build tree of many files, not one megafile, is the realistic
+//! shape, and separate files are what `dmlc check --jobs N` fans out.
+//! Constraint generation itself is linear in file size, so a single-file
+//! corpus (`files(1)`) is just as valid a workload.
 
 use crate::rng::OracleRng;
 use dml::UnknownReason;
@@ -131,8 +132,8 @@ pub struct ScaleConfig {
     /// Total obligations to generate across the corpus (hit within one
     /// unit's worth, ≤ `3 · max_depth − 1`).
     pub target_obligations: usize,
-    /// Number of files to split the corpus over. Constraint generation
-    /// is superlinear in single-file size, so mega-corpora must spread.
+    /// Number of files to split the corpus over: the realistic shape of
+    /// a build tree, and the unit of work `--jobs` distributes.
     pub files: usize,
     /// Relative unit-shape weights: proven chain.
     pub proven_weight: u32,
@@ -148,8 +149,9 @@ pub struct ScaleConfig {
 
 impl ScaleConfig {
     /// A corpus of roughly `target_obligations` obligations with the
-    /// default shape mix, split over a file count that keeps per-file
-    /// generation time tame.
+    /// default shape mix, split into files of about 1200 obligations
+    /// each (at most 64). The split is part of the corpus identity:
+    /// committed corpora and their stamps depend on it.
     pub fn new(seed: u64, target_obligations: usize) -> ScaleConfig {
         ScaleConfig {
             seed,

@@ -6,9 +6,14 @@
 //! the extension conservative. The result records an ML scheme for every
 //! `fun`/`val` binder (keyed by the binder's source span) so that phase 2
 //! can lift the types of unannotated bindings.
+//!
+//! The value environment is one [`ScopedMap`] threaded through the whole
+//! program, and generalization is level-based (see [`Unifier`]), so
+//! inference costs time in proportion to program size.
 
 use crate::env::Env;
 use crate::ml::{MlScheme, MlTy};
+use crate::scoped::ScopedMap;
 use crate::unify::Unifier;
 use dml_syntax::ast as sast;
 use dml_syntax::Span;
@@ -59,7 +64,7 @@ pub fn infer_program(program: &sast::Program, env: &Env) -> Result<InferResult, 
         ["Subscript", "Div", "Size", "Match", "Overflow"].iter().map(|s| s.to_string()).collect();
     let mut inf =
         Inferencer { env, uni: Unifier::new(), result: InferResult::default(), exceptions };
-    let mut vals: HashMap<String, MlScheme> = HashMap::new();
+    let mut vals = Vals::new();
     for d in &program.decls {
         inf.decl(d, &mut vals)?;
     }
@@ -67,13 +72,15 @@ pub fn infer_program(program: &sast::Program, env: &Env) -> Result<InferResult, 
     for s in inf.result.schemes.values_mut() {
         s.ty = inf.uni.resolve(&s.ty);
     }
-    for (name, s) in &vals {
+    for (name, s) in vals.iter() {
         inf.result
             .top_level
             .insert(name.clone(), MlScheme { vars: s.vars.clone(), ty: inf.uni.resolve(&s.ty) });
     }
     Ok(inf.result)
 }
+
+type Vals = ScopedMap<String, MlScheme>;
 
 struct Inferencer<'e> {
     env: &'e Env,
@@ -103,46 +110,33 @@ impl<'e> Inferencer<'e> {
         scheme.ty.subst_rigids(&|n| map.get(n).cloned())
     }
 
-    /// Generalises `ty` over unification variables not free in `vals`.
-    fn generalize(&mut self, ty: &MlTy, vals: &HashMap<String, MlScheme>) -> MlScheme {
+    /// Generalises `ty` over the unification variables created in a level
+    /// that has been left, except those in `held` (still bound
+    /// monomorphically by another member of the same `fun` group).
+    fn generalize(&mut self, ty: &MlTy, held: &BTreeSet<u32>) -> MlScheme {
         let ty = self.uni.resolve(ty);
         let mut ty_uvars = BTreeSet::new();
         ty.uvars_into(&mut ty_uvars);
-        if ty_uvars.is_empty() {
-            let mut vars = BTreeSet::new();
-            ty.rigids_into(&mut vars);
-            // Rigids introduced by explicit scoping generalize too; rigids
-            // from the surrounding scope are not re-quantified, but at the
-            // top level there is no surrounding rigid scope.
-            return MlScheme { vars: vars.into_iter().collect(), ty };
-        }
-        let mut env_uvars = BTreeSet::new();
-        for s in vals.values() {
-            self.uni.resolve(&s.ty).uvars_into(&mut env_uvars);
-        }
-        let gen_uvars: Vec<u32> = ty_uvars.difference(&env_uvars).copied().collect();
-        let mut names = Vec::new();
         let mut renaming: HashMap<u32, String> = HashMap::new();
-        for (k, u) in gen_uvars.iter().enumerate() {
-            let name = format!("t{k}");
-            renaming.insert(*u, name.clone());
-            names.push(name);
+        for u in ty_uvars {
+            if self.uni.is_generalizable(u) && !held.contains(&u) {
+                renaming.insert(u, format!("t{}", renaming.len()));
+            }
         }
-        let ty2 = rename_uvars(&ty, &renaming);
+        let ty = if renaming.is_empty() { ty } else { rename_uvars(&ty, &renaming) };
+        // Rigids generalize too: explicitly scoped ones are quantified at
+        // their binding, and at the top level there is no surrounding
+        // rigid scope.
         let mut rigids = BTreeSet::new();
-        ty2.rigids_into(&mut rigids);
-        MlScheme { vars: rigids.into_iter().collect(), ty: ty2 }
+        ty.rigids_into(&mut rigids);
+        MlScheme { vars: rigids.into_iter().collect(), ty }
     }
 
     // -----------------------------------------------------------------
     // Declarations.
     // -----------------------------------------------------------------
 
-    fn decl(
-        &mut self,
-        d: &sast::Decl,
-        vals: &mut HashMap<String, MlScheme>,
-    ) -> Result<(), InferError> {
+    fn decl(&mut self, d: &sast::Decl, vals: &mut Vals) -> Result<(), InferError> {
         match d {
             // Environment-shaping declarations were processed before
             // inference began.
@@ -156,12 +150,9 @@ impl<'e> Inferencer<'e> {
         }
     }
 
-    fn fun_group(
-        &mut self,
-        funs: &[sast::FunDecl],
-        vals: &mut HashMap<String, MlScheme>,
-    ) -> Result<(), InferError> {
+    fn fun_group(&mut self, funs: &[sast::FunDecl], vals: &mut Vals) -> Result<(), InferError> {
         // Bind every function monomorphically for the recursive knot.
+        self.uni.enter_level();
         let mut fun_tys = Vec::with_capacity(funs.len());
         for f in funs {
             let ty = match &f.anno {
@@ -174,12 +165,29 @@ impl<'e> Inferencer<'e> {
         for (f, fty) in funs.iter().zip(&fun_tys) {
             self.fun_clauses(f, fty, vals)?;
         }
-        // Generalise after the whole group is checked.
+        self.uni.leave_level();
+        // Generalise after the whole group is checked, one member at a
+        // time: while a member is generalised, the variables the others
+        // hold under their own names (monomorphic, or left over from
+        // their own generalisation) stay monomorphic.
+        let mut held: HashMap<&str, MlTy> = HashMap::new();
         for (f, fty) in funs.iter().zip(&fun_tys) {
-            vals.remove(&f.name.name);
-            let scheme = self.generalize(fty, vals);
+            held.insert(&f.name.name, fty.clone());
+        }
+        for (f, fty) in funs.iter().zip(&fun_tys) {
+            let mut others = BTreeSet::new();
+            for (name, t) in &held {
+                if *name != f.name.name {
+                    self.uni.resolve(t).uvars_into(&mut others);
+                }
+            }
+            let scheme = self.generalize(fty, &others);
             self.result.schemes.insert(f.name.span, scheme.clone());
+            held.insert(&f.name.name, scheme.ty.clone());
             vals.insert(f.name.name.clone(), scheme);
+        }
+        for t in held.values() {
+            self.uni.pin_to_current_level(t);
         }
         Ok(())
     }
@@ -188,7 +196,7 @@ impl<'e> Inferencer<'e> {
         &mut self,
         f: &sast::FunDecl,
         fty: &MlTy,
-        vals: &HashMap<String, MlScheme>,
+        vals: &mut Vals,
     ) -> Result<(), InferError> {
         let arity = f.clauses.first().map(|c| c.params.len()).unwrap_or(0);
         for c in &f.clauses {
@@ -215,38 +223,42 @@ impl<'e> Inferencer<'e> {
             res = b;
         }
         for c in &f.clauses {
-            let mut scope = vals.clone();
+            let mark = vals.mark();
             for (p, a) in c.params.iter().zip(&arg_tys) {
-                let pt = self.pat(p, &mut scope)?;
+                let pt = self.pat(p, vals)?;
                 self.unify(&pt, a, p.span())?;
             }
-            let bt = self.expr(&c.body, &scope)?;
+            let bt = self.expr(&c.body, vals)?;
             self.unify(&bt, &res, c.body.span())?;
+            vals.rollback(mark);
         }
         Ok(())
     }
 
-    fn val_decl(
-        &mut self,
-        v: &sast::ValDecl,
-        vals: &mut HashMap<String, MlScheme>,
-    ) -> Result<(), InferError> {
+    fn val_decl(&mut self, v: &sast::ValDecl, vals: &mut Vals) -> Result<(), InferError> {
+        self.uni.enter_level();
         let et = self.expr(&v.expr, vals)?;
         if let Some(anno) = &v.anno {
             let at = self.ml_of_dtype(anno)?;
             self.unify(&et, &at, v.span)?;
         }
-        let mut scope = vals.clone();
-        let pt = self.pat(&v.pat, &mut scope)?;
+        let mark = vals.mark();
+        let pt = self.pat(&v.pat, vals)?;
         self.unify(&pt, &et, v.pat.span())?;
+        let bound = v.pat.bound_vars();
+        let raws: Vec<MlTy> =
+            bound.iter().map(|b| vals.get(&b.name).expect("pattern bound").ty.clone()).collect();
+        vals.rollback(mark);
+        self.uni.leave_level();
         // Value restriction: only generalise syntactic values.
         let generalizable = is_syntactic_value(&v.expr);
-        for bound in v.pat.bound_vars() {
-            let raw = scope.get(&bound.name).expect("pattern bound").clone();
+        for (bound, raw) in bound.into_iter().zip(raws) {
             let scheme = if generalizable {
-                self.generalize(&raw.ty, vals)
+                self.generalize(&raw, &BTreeSet::new())
             } else {
-                MlScheme::mono(self.uni.resolve(&raw.ty))
+                let ty = self.uni.resolve(&raw);
+                self.uni.pin_to_current_level(&ty);
+                MlScheme::mono(ty)
             };
             self.result.schemes.insert(bound.span, scheme.clone());
             vals.insert(bound.name.clone(), scheme);
@@ -258,11 +270,7 @@ impl<'e> Inferencer<'e> {
     // Patterns.
     // -----------------------------------------------------------------
 
-    fn pat(
-        &mut self,
-        p: &sast::Pat,
-        scope: &mut HashMap<String, MlScheme>,
-    ) -> Result<MlTy, InferError> {
+    fn pat(&mut self, p: &sast::Pat, scope: &mut Vals) -> Result<MlTy, InferError> {
         match p {
             sast::Pat::Wild(_) => Ok(self.fresh()),
             sast::Pat::Int(_, _) => Ok(MlTy::int()),
@@ -343,16 +351,11 @@ impl<'e> Inferencer<'e> {
     // Expressions.
     // -----------------------------------------------------------------
 
-    fn expr(
-        &mut self,
-        e: &sast::Expr,
-        vals: &HashMap<String, MlScheme>,
-    ) -> Result<MlTy, InferError> {
+    fn expr(&mut self, e: &sast::Expr, vals: &mut Vals) -> Result<MlTy, InferError> {
         match e {
             sast::Expr::Var(id) => {
                 if let Some(s) = vals.get(&id.name) {
-                    let s = s.clone();
-                    return Ok(self.instantiate(&s));
+                    return Ok(self.instantiate(s));
                 }
                 if self.env.is_constructor(&id.name) {
                     let (arg, res) = self.instantiate_con(&id.name);
@@ -394,16 +397,17 @@ impl<'e> Inferencer<'e> {
                 let st = self.expr(scrut, vals)?;
                 let result = self.fresh();
                 for (p, body) in arms {
-                    let mut scope = vals.clone();
-                    let pt = self.pat(p, &mut scope)?;
+                    let mark = vals.mark();
+                    let pt = self.pat(p, vals)?;
                     self.unify(&pt, &st, p.span())?;
-                    let bt = self.expr(body, &scope)?;
+                    let bt = self.expr(body, vals)?;
                     self.unify(&bt, &result, *span)?;
+                    vals.rollback(mark);
                 }
                 Ok(result)
             }
             sast::Expr::Let(decls, body, _) => {
-                let mut scope = vals.clone();
+                let mark = vals.mark();
                 for d in decls {
                     match d {
                         sast::Decl::Datatype(dd) => {
@@ -412,20 +416,23 @@ impl<'e> Inferencer<'e> {
                                 dd.name.span,
                             ))
                         }
-                        other => self.decl(other, &mut scope)?,
+                        other => self.decl(other, vals)?,
                     }
                 }
-                self.expr(body, &scope)
+                let bt = self.expr(body, vals)?;
+                vals.rollback(mark);
+                Ok(bt)
             }
             sast::Expr::Fn(arms, span) => {
                 let pt = self.fresh();
                 let bt = self.fresh();
                 for (p, body) in arms {
-                    let mut scope = vals.clone();
-                    let t = self.pat(p, &mut scope)?;
+                    let mark = vals.mark();
+                    let t = self.pat(p, vals)?;
                     self.unify(&t, &pt, p.span())?;
-                    let b = self.expr(body, &scope)?;
+                    let b = self.expr(body, vals)?;
                     self.unify(&b, &bt, *span)?;
+                    vals.rollback(mark);
                 }
                 Ok(MlTy::Arrow(Box::new(pt), Box::new(bt)))
             }
@@ -724,5 +731,70 @@ end
     fn andalso_orelse_bool() {
         let src = "fun f(x, y) = x < y andalso y < 10 orelse x = 0";
         assert_eq!(top(src, "f"), "int * int -> bool");
+    }
+
+    #[test]
+    fn shadowing_scopes_restore_the_outer_scheme() {
+        // `id` is shadowed by an int in a case arm, a let, a fn arm and a
+        // clause parameter, and used at bool after each scope: the
+        // polymorphic top-level scheme must be back every time.
+        let src = r#"
+fun id(x) = x
+fun a(v) = (case v of id => id + 1; id true)
+fun b(v) = (let val id = v + 1 in id end; id true)
+fun c(v) = ((fn id => id + 1) v; id true)
+fun d(id) = id + 1
+val e = id true
+"#;
+        let (r, _) = infer(src).unwrap();
+        assert_eq!(r.top_level["id"].to_string(), "forall t0. 't0 -> 't0");
+        for f in ["a", "b", "c"] {
+            assert_eq!(r.top_level[f].to_string(), "int -> bool", "{f}");
+        }
+        assert_eq!(r.top_level["d"].to_string(), "int -> int");
+        assert_eq!(r.top_level["e"].to_string(), "bool");
+    }
+
+    #[test]
+    fn enclosing_parameter_type_is_not_generalized() {
+        // `g`'s result is `x`'s type, which belongs to the enclosing
+        // clause: it must stay monomorphic inside `bad`.
+        let src = "fun bad(x) = let fun g(y) = x in (g 1 + 1, g 2 andalso true) end";
+        assert!(infer(src).is_err());
+    }
+
+    #[test]
+    fn local_function_generalizes_over_its_own_parameter_only() {
+        let src = "fun good(x) = let fun g(y) = (y, x) in (g 1, g true) end";
+        assert_eq!(top(src, "good"), "forall t0. 't0 -> (int * 't0) * (bool * 't0)");
+    }
+
+    #[test]
+    fn value_restricted_binding_stays_monomorphic_for_later_definitions() {
+        // `r` is not a syntactic value, so its type variable is shared by
+        // every later use: `f` must not be generalized over it, and the
+        // later `r 1` fixes both to int.
+        let src = "val r = (fn y => y) (fn y => y)  fun f(x) = r x  val a = r 1";
+        assert_eq!(top(src, "f"), "int -> int");
+        assert_eq!(top(src, "r"), "int -> int");
+    }
+
+    #[test]
+    fn group_members_are_generalized_one_at_a_time() {
+        // Members of a `fun ... and ...` group are generalised in order,
+        // each while the others still hold their types: variables shared
+        // between members stay monomorphic.
+        let (r, _) = infer("fun f(x) = (x, g x) and g(y) = y").unwrap();
+        for f in ["f", "g"] {
+            assert!(r.top_level[f].vars.is_empty(), "{f}: {}", r.top_level[f]);
+        }
+        // A member's own variables generalize once no other member holds
+        // them, here because the two members share one name.
+        let src = "fun f(x) = x and f(y) = y + 1";
+        let p = parse_program(src).unwrap();
+        let (r, _) = infer(src).unwrap();
+        let sast::Decl::Fun(fs) = &p.decls[0] else { panic!("expected fun") };
+        assert_eq!(r.schemes[&fs[0].name.span].to_string(), "forall t0. 't0 -> 't0");
+        assert_eq!(r.top_level["f"].to_string(), "int -> int");
     }
 }

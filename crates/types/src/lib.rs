@@ -13,7 +13,10 @@
 //! This crate provides:
 //! * [`ty`] — the internal dependent type language (Π/Σ/families/products);
 //! * [`ml`] + [`unify`] — erased ML types and unification;
-//! * [`infer`] — Hindley–Milner inference with the value restriction;
+//! * [`infer`] — Hindley–Milner inference with the value restriction and
+//!   level-based generalization;
+//! * [`scoped`] — the scoped value environment both phases thread through
+//!   a program (a map plus an undo log);
 //! * [`convert`] — elaboration of surface [`dml_syntax`] types into
 //!   internal types over the semantic index language of [`dml_index`];
 //! * [`builtins`] — the dependent signatures of the refined standard basis
@@ -26,10 +29,12 @@ pub mod convert;
 pub mod env;
 pub mod infer;
 pub mod ml;
+pub mod scoped;
 pub mod ty;
 pub mod unify;
 
 pub use env::{ConInfo, Env, TyperefInfo};
 pub use infer::{infer_program, InferError, InferResult};
 pub use ml::{MlScheme, MlTy};
+pub use scoped::ScopedMap;
 pub use ty::{Binder, Ix, Scheme, Ty};
