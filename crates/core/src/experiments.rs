@@ -253,24 +253,34 @@ pub struct RunRow {
     pub outputs_match: bool,
 }
 
+/// Comparison rounds per check in the Table 3 model: about the cost of one
+/// interpreted array access. `cargo run --release --example check_cost`
+/// measures both costs; on a two-core Xeon VM (10 runs) an access read
+/// 32–51 ns and a round 1.57–1.79 ns, 19–33 rounds per access (median 25).
+pub const TABLE3_CHECK_ROUNDS: u32 = 24;
+
+/// Comparison rounds per check in the Table 2 model: a third of Table 3's.
+pub const TABLE2_CHECK_ROUNDS: u32 = TABLE3_CHECK_ROUNDS / 3;
+
 /// Table 2: the low-overhead platform model (DEC Alpha + SML/NJ in the
-/// paper). Each bound check costs 300 comparison rounds (≈ a third of one
-/// interpreted array access, the ballpark of a native check/access ratio).
+/// paper). Each bound check costs [`TABLE2_CHECK_ROUNDS`] comparison
+/// rounds (≈ a third of one interpreted array access, the ballpark of a
+/// native check/access ratio).
 pub fn table2(factor: u32) -> Vec<RunRow> {
-    run_table(factor, 300)
+    run_table(factor, TABLE2_CHECK_ROUNDS)
 }
 
 /// Table 3: the higher-overhead platform model (SPARC + MLWorks in the
-/// paper). Each bound check costs 900 comparison rounds (≈ one interpreted
-/// array access).
+/// paper). Each bound check costs [`TABLE3_CHECK_ROUNDS`] comparison
+/// rounds (≈ one interpreted array access).
 pub fn table3(factor: u32) -> Vec<RunRow> {
-    run_table(factor, 900)
+    run_table(factor, TABLE3_CHECK_ROUNDS)
 }
 
 /// Runs all eight benchmarks under a given per-check cost model, taking
-/// the minimum of three timed repetitions per mode.
+/// the minimum of five timed repetitions per mode.
 pub fn run_table(factor: u32, check_cost: u32) -> Vec<RunRow> {
-    benchmarks().iter().map(|b| run_benchmark_with(b, factor, check_cost, 3)).collect()
+    benchmarks().iter().map(|b| run_benchmark_with(b, factor, check_cost, 5)).collect()
 }
 
 /// Renders a Table-2/3-style report.
@@ -378,32 +388,26 @@ pub fn run_benchmark(b: &Bench, factor: u32, check_cost: u32) -> RunRow {
 
 /// Runs one benchmark in both modes, timing the *minimum* over `repeats`
 /// repetitions per mode (reduces scheduler noise on the small scaled-down
-/// workloads).
+/// workloads). The modes alternate, so a drift in machine speed hits both
+/// columns alike.
 pub fn run_benchmark_with(b: &Bench, factor: u32, check_cost: u32, repeats: u32) -> RunRow {
     let compiled = compile_bench(b);
-    let run_mode = |mode: Mode| {
-        let mut best = Duration::MAX;
-        let mut checksum = 0;
-        let mut counters = dml_eval::Counters::new();
-        let mut ops = 0u64;
-        for _ in 0..repeats.max(1) {
-            let mut machine = compiled.machine_with(
-                match mode {
-                    Mode::Checked => dml_eval::CheckConfig::checked(),
-                    Mode::Eliminated => dml_eval::CheckConfig::eliminated(Default::default()),
-                }
-                .with_check_cost(check_cost),
-            );
-            let start = Instant::now();
-            checksum = (b.run)(&mut machine, factor);
-            best = best.min(start.elapsed());
-            counters = machine.counters;
-            ops = machine.ops;
-        }
-        (best, checksum, counters, ops)
+    let run_once = |mode: Mode| {
+        let config = match mode {
+            Mode::Checked => dml_eval::CheckConfig::checked(),
+            Mode::Eliminated => dml_eval::CheckConfig::eliminated(Default::default()),
+        };
+        let mut machine = compiled.machine_with(config.with_check_cost(check_cost));
+        let start = Instant::now();
+        let checksum = (b.run)(&mut machine, factor);
+        (start.elapsed(), checksum, machine.counters, machine.ops)
     };
-    let (with_time, with_sum, _with_counters, with_ops) = run_mode(Mode::Checked);
-    let (without_time, without_sum, counters, without_ops) = run_mode(Mode::Eliminated);
+    let (mut with_time, with_sum, _, with_ops) = run_once(Mode::Checked);
+    let (mut without_time, without_sum, counters, without_ops) = run_once(Mode::Eliminated);
+    for _ in 1..repeats.max(1) {
+        with_time = with_time.min(run_once(Mode::Checked).0);
+        without_time = without_time.min(run_once(Mode::Eliminated).0);
+    }
     let gain = if with_time.as_secs_f64() > 0.0 {
         (with_time.as_secs_f64() - without_time.as_secs_f64()) / with_time.as_secs_f64() * 100.0
     } else {

@@ -35,6 +35,8 @@ pub enum EvalError {
     },
     /// Integer division or modulus by zero.
     DivisionByZero(Span),
+    /// An integer operation whose result leaves `i64` (SML's `Overflow`).
+    Overflow(Span),
     /// No clause/arm matched the scrutinee.
     MatchFailure(Span),
     /// Unbound variable at run time (elaboration bug or raw-AST misuse).
@@ -59,6 +61,7 @@ impl EvalError {
         match self {
             EvalError::BoundsViolation { .. } | EvalError::TagViolation { .. } => Some("Subscript"),
             EvalError::DivisionByZero(_) => Some("Div"),
+            EvalError::Overflow(_) => Some("Overflow"),
             EvalError::NegativeArraySize(_, _) => Some("Size"),
             EvalError::MatchFailure(_) => Some("Match"),
             EvalError::Raised(name, _) => Some(name),
@@ -81,6 +84,9 @@ impl fmt::Display for EvalError {
                 "UNSOUND ELIMINATION at {site}: unchecked access with index {index}, length {len}"
             ),
             EvalError::DivisionByZero(site) => write!(f, "division by zero at {site}"),
+            EvalError::Overflow(site) => {
+                write!(f, "uncaught exception Overflow at {site}: integer result out of range")
+            }
             EvalError::MatchFailure(site) => write!(f, "match failure at {site}"),
             EvalError::Unbound(name, site) => write!(f, "unbound variable `{name}` at {site}"),
             EvalError::Type(msg, site) => write!(f, "type error at {site}: {msg}"),
@@ -107,6 +113,7 @@ mod tests {
             EvalError::TagViolation { index: 9, site: s },
             EvalError::UnsoundElimination { index: 9, len: 3, site: s },
             EvalError::DivisionByZero(s),
+            EvalError::Overflow(s),
             EvalError::MatchFailure(s),
             EvalError::Unbound("x".into(), s),
             EvalError::Type("bad".into(), s),
@@ -126,6 +133,7 @@ mod tests {
             Some("Subscript")
         );
         assert_eq!(EvalError::DivisionByZero(s).exception_name(), Some("Div"));
+        assert_eq!(EvalError::Overflow(s).exception_name(), Some("Overflow"));
         assert_eq!(EvalError::Raised("E".into(), s).exception_name(), Some("E"));
         assert_eq!(
             EvalError::UnsoundElimination { index: 1, len: 0, site: s }.exception_name(),

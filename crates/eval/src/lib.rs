@@ -6,10 +6,12 @@
 //! proved every eliminated access safe (§4). This crate reproduces that
 //! setup on an interpreter:
 //!
-//! * [`Machine`] evaluates a parsed program with a [`CheckConfig`] that
-//!   says, per call site (identified by the application's source span,
-//!   matching `dml-elab`'s obligation sites), whether the bound/tag check
-//!   was proven and may be skipped.
+//! * [`Machine`] lowers each declaration of a parsed program once, when it
+//!   is loaded, to a resolved tree (slot-addressed variables, constructors
+//!   and primitives decided up front), and evaluates that tree with a
+//!   [`CheckConfig`] that says, per call site (identified by the
+//!   application's source span, matching `dml-elab`'s obligation sites),
+//!   whether the bound/tag check was proven and may be skipped.
 //! * Checked accesses execute the bounds comparison (optionally repeated
 //!   `check_cost` times, modelling platforms where a check is a larger
 //!   fraction of an access — the knob that distinguishes the paper's
@@ -24,12 +26,14 @@
 pub mod counter;
 pub mod error;
 pub mod interp;
+mod lower;
 pub mod prims;
 pub mod rng;
 pub mod value;
 
 pub use counter::Counters;
 pub use error::EvalError;
-pub use interp::{CheckConfig, Machine, Mode};
+pub use interp::{CheckConfig, Closure, Machine, Mode};
+pub use prims::Prim;
 pub use rng::XorShift;
 pub use value::Value;

@@ -1,7 +1,7 @@
 //! Run-time values.
 
-use dml_syntax::ast::Pat;
-use dml_syntax::Expr;
+use crate::interp::Closure;
+use crate::prims::Prim;
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
@@ -21,21 +21,13 @@ pub enum Value {
     Con(Rc<str>, Option<Rc<Value>>),
     /// Mutable array.
     Array(Rc<RefCell<Vec<Value>>>),
-    /// A function closure: an index into the machine's closure arena.
-    /// (Closures are arena-allocated rather than `Rc`-shared because a
-    /// recursive closure's captured environment refers back to the closure
-    /// itself — an `Rc` cycle that would leak; see `interp::Machine`.)
-    Closure(ClosureId),
+    /// A function closure (reference-counted; see [`Closure`]).
+    Closure(Closure),
     /// A partial application of a multi-parameter (curried) closure.
-    Partial(ClosureId, Rc<Vec<Value>>),
-    /// A unary datatype constructor used as a first-class function.
-    ConFn(Rc<str>),
-    /// A built-in primitive, applied by name.
-    Prim(&'static str),
+    Partial(Closure, Rc<Vec<Value>>),
+    /// A built-in primitive.
+    Prim(Prim),
 }
-
-/// An index into the machine's closure arena.
-pub type ClosureId = u32;
 
 impl Value {
     /// Builds a list value from a vector.
@@ -146,10 +138,9 @@ impl fmt::Display for Value {
                 }
                 write!(f, "|]")
             }
-            Value::Closure(id) => write!(f, "<fun #{id}>"),
-            Value::Partial(id, args) => write!(f, "<fun #{id}/{}>", args.len()),
-            Value::ConFn(name) => write!(f, "<con {name}>"),
-            Value::Prim(name) => write!(f, "<prim {name}>"),
+            Value::Closure(c) => write!(f, "<fun {}>", c.name()),
+            Value::Partial(c, args) => write!(f, "<fun {}/{}>", c.name(), args.len()),
+            Value::Prim(p) => write!(f, "<prim {}>", p.name()),
         }
     }
 }
@@ -173,54 +164,9 @@ pub fn value_eq(a: &Value, b: &Value) -> bool {
     }
 }
 
-/// Matches a value against a pattern, extending `bindings` on success.
-///
-/// `is_con` distinguishes nullary constructor patterns (which the parser
-/// cannot tell apart from variables) from genuine variable bindings.
-pub fn match_pattern(
-    p: &Pat,
-    v: &Value,
-    is_con: &dyn Fn(&str) -> bool,
-    bindings: &mut Vec<(String, Value)>,
-) -> bool {
-    match (p, v) {
-        (Pat::Wild(_), _) => true,
-        (Pat::Int(n, _), Value::Int(m)) => n == m,
-        (Pat::Bool(b, _), Value::Bool(c)) => b == c,
-        (Pat::Tuple(ps, _), Value::Unit) => ps.is_empty(),
-        (Pat::Tuple(ps, _), Value::Tuple(vs)) => {
-            ps.len() == vs.len()
-                && ps.iter().zip(vs.iter()).all(|(p, v)| match_pattern(p, v, is_con, bindings))
-        }
-        (Pat::Con(name, None, _), Value::Con(cname, None)) => name.name == **cname,
-        (Pat::Con(name, Some(arg), _), Value::Con(cname, Some(carg))) => {
-            name.name == **cname && match_pattern(arg, carg, is_con, bindings)
-        }
-        (Pat::Var(id), _) if is_con(&id.name) => {
-            matches!(v, Value::Con(cname, None) if id.name == **cname)
-        }
-        (Pat::Var(id), _) => {
-            bindings.push((id.name.clone(), v.clone()));
-            true
-        }
-        (Pat::Anno(inner, _, _), _) => match_pattern(inner, v, is_con, bindings),
-        _ => false,
-    }
-}
-
-/// The body expression type re-exported for closure construction.
-pub type Body = Expr;
-
-/// Exhaustive-match helper: `true` if a value is a function-like value.
-pub fn is_function(v: &Value) -> bool {
-    matches!(v, Value::Closure(_) | Value::Partial(_, _) | Value::ConFn(_) | Value::Prim(_))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dml_syntax::ast::Ident;
-    use dml_syntax::Span;
 
     #[test]
     fn list_round_trip() {
@@ -239,57 +185,5 @@ mod tests {
         assert!(value_eq(&a, &b));
         assert!(!value_eq(&a, &c));
         assert_eq!(a.to_string(), "[|1, 2|]");
-    }
-
-    #[test]
-    fn match_tuple_pattern() {
-        let p = Pat::Tuple(
-            vec![Pat::Var(Ident::synth("x")), Pat::Int(2, Span::default())],
-            Span::default(),
-        );
-        let v = Value::Tuple(Rc::new(vec![Value::Int(1), Value::Int(2)]));
-        let no_cons = |_: &str| false;
-        let mut binds = Vec::new();
-        assert!(match_pattern(&p, &v, &no_cons, &mut binds));
-        assert_eq!(binds.len(), 1);
-        assert_eq!(binds[0].0, "x");
-        let v2 = Value::Tuple(Rc::new(vec![Value::Int(1), Value::Int(3)]));
-        assert!(!match_pattern(&p, &v2, &no_cons, &mut Vec::new()));
-    }
-
-    #[test]
-    fn match_cons_pattern() {
-        let p = Pat::Con(
-            Ident::synth("::"),
-            Some(Box::new(Pat::Tuple(
-                vec![Pat::Var(Ident::synth("x")), Pat::Var(Ident::synth("xs"))],
-                Span::default(),
-            ))),
-            Span::default(),
-        );
-        let v = Value::list([Value::Int(7)]);
-        let mut binds = Vec::new();
-        assert!(match_pattern(&p, &v, &|_| false, &mut binds));
-        assert_eq!(binds[0].1.as_int(), Some(7));
-        assert!(matches!(&binds[1].1, Value::Con(n, None) if &**n == "nil"));
-    }
-
-    #[test]
-    fn nullary_con_pattern_via_var() {
-        let p = Pat::Var(Ident::synth("nil"));
-        let v = Value::Con("nil".into(), None);
-        let is_con = |n: &str| n == "nil" || n == "LESS";
-        let mut binds = Vec::new();
-        assert!(match_pattern(&p, &v, &is_con, &mut binds));
-        assert!(binds.is_empty(), "constructor patterns bind nothing");
-        // A *different* nullary constructor must not match.
-        let p2 = Pat::Var(Ident::synth("LESS"));
-        assert!(!match_pattern(&p2, &v, &is_con, &mut Vec::new()));
-    }
-
-    #[test]
-    fn unit_matches_empty_tuple_pattern() {
-        let p = Pat::Tuple(vec![], Span::default());
-        assert!(match_pattern(&p, &Value::Unit, &|_| false, &mut Vec::new()));
     }
 }

@@ -1,8 +1,9 @@
 //! Differential property test: randomly generated arithmetic programs are
 //! rendered as DML source, pushed through the **entire pipeline**
 //! (parse → infer → elaborate → solve → interpret), and compared against a
-//! Rust reference evaluator with the same SML semantics (wrapping
-//! arithmetic, flooring `div`/`mod`).
+//! Rust reference evaluator with the same SML semantics (flooring
+//! `div`/`mod`, and `Overflow` raised whenever an intermediate result
+//! leaves `i64`).
 //!
 //! This exercises conservativity from yet another angle: the programs are
 //! annotation-free and must mean exactly what ML says they mean. Expression
@@ -87,54 +88,66 @@ fn render(e: &E) -> String {
     }
 }
 
-fn floor_div(a: i64, b: i64) -> i64 {
-    let q = a.wrapping_div(b);
-    if (a % b != 0) && ((a < 0) != (b < 0)) {
-        q - 1
-    } else {
-        q
+/// SML flooring division; `None` when the quotient leaves `i64`.
+fn floor_div(a: i64, b: i64) -> Option<i64> {
+    let q = a.checked_div(b)?;
+    Some(if (a % b != 0) && ((a < 0) != (b < 0)) { q - 1 } else { q })
+}
+
+/// The value of `e` over ℤ, or `None` ("Overflow") as soon as any
+/// intermediate result leaves `i64`.
+fn reference(e: &E, x: i64, y: i64, z: i64) -> Option<i64> {
+    let r = |e: &E| reference(e, x, y, z);
+    match e {
+        E::X => Some(x),
+        E::Y => Some(y),
+        E::Z => Some(z),
+        E::Lit(n) => Some(*n),
+        E::Add(a, b) => r(a)?.checked_add(r(b)?),
+        E::Sub(a, b) => r(a)?.checked_sub(r(b)?),
+        E::Mul(a, b) => r(a)?.checked_mul(r(b)?),
+        E::DivP(a, b) => {
+            let n = r(a)?;
+            let d = r(b)?.checked_abs()?.checked_add(1)?;
+            floor_div(n, d)
+        }
+        E::ModP(a, b) => {
+            let n = r(a)?;
+            let d = r(b)?.checked_abs()?.checked_add(1)?;
+            // Exact over ℤ (the product alone may leave `i64`; the
+            // remainder never does).
+            let q = floor_div(n, d)?;
+            i64::try_from(i128::from(n) - i128::from(d) * i128::from(q)).ok()
+        }
+        E::Min(a, b) => Some(r(a)?.min(r(b)?)),
+        E::Max(a, b) => Some(r(a)?.max(r(b)?)),
+        E::Abs(a) => r(a)?.checked_abs(),
+        E::IfLe(a, b, c, d) => {
+            if r(a)? <= r(b)? {
+                r(c)
+            } else {
+                r(d)
+            }
+        }
     }
 }
 
-fn reference(e: &E, x: i64, y: i64, z: i64) -> i64 {
-    match e {
-        E::X => x,
-        E::Y => y,
-        E::Z => z,
-        E::Lit(n) => *n,
-        E::Add(a, b) => reference(a, x, y, z).wrapping_add(reference(b, x, y, z)),
-        E::Sub(a, b) => reference(a, x, y, z).wrapping_sub(reference(b, x, y, z)),
-        E::Mul(a, b) => reference(a, x, y, z).wrapping_mul(reference(b, x, y, z)),
-        E::DivP(a, b) => {
-            let d = reference(b, x, y, z).wrapping_abs().wrapping_add(1);
-            let n = reference(a, x, y, z);
-            if d == 0 {
-                // |i64::MIN| + 1 wraps to i64::MIN + 1 ... never zero for
-                // our value ranges, but stay total.
-                0
-            } else {
-                floor_div(n, d)
-            }
-        }
-        E::ModP(a, b) => {
-            let d = reference(b, x, y, z).wrapping_abs().wrapping_add(1);
-            let n = reference(a, x, y, z);
-            if d == 0 {
-                0
-            } else {
-                n.wrapping_sub(d.wrapping_mul(floor_div(n, d)))
-            }
-        }
-        E::Min(a, b) => reference(a, x, y, z).min(reference(b, x, y, z)),
-        E::Max(a, b) => reference(a, x, y, z).max(reference(b, x, y, z)),
-        E::Abs(a) => reference(a, x, y, z).wrapping_abs(),
-        E::IfLe(a, b, c, d) => {
-            if reference(a, x, y, z) <= reference(b, x, y, z) {
-                reference(c, x, y, z)
-            } else {
-                reference(d, x, y, z)
-            }
-        }
+/// Runs `f(x, y, z)` through the whole pipeline: `Some(value)`, or `None`
+/// when the interpreter raised `Overflow` (any other error fails the test).
+fn interpret(src: &str, x: i64, y: i64, z: i64) -> Option<i64> {
+    let compiled = dml::Compiler::new()
+        .compile(src)
+        .unwrap_or_else(|err| panic!("pipeline failed on:\n{src}\n{err}"));
+    let mut m = compiled.machine(dml::Mode::Checked);
+    let args = dml::Value::Tuple(std::rc::Rc::new(vec![
+        dml::Value::Int(x),
+        dml::Value::Int(y),
+        dml::Value::Int(z),
+    ]));
+    match m.call("f", vec![args]) {
+        Ok(v) => Some(v.as_int().expect("an integer result")),
+        Err(dml_eval::EvalError::Overflow(_)) => None,
+        Err(e) => panic!("unexpected error {e} on:\n{src}"),
     }
 }
 
@@ -147,19 +160,32 @@ fn interpreter_matches_reference() {
         let y = rng.i64_in(-100, 99);
         let z = rng.i64_in(-100, 99);
         let src = format!("fun f(x, y, z) = {}", render(&e));
-        let compiled = dml::Compiler::new()
-            .compile(&src)
-            .unwrap_or_else(|err| panic!("pipeline failed on:\n{src}\n{err}"));
-        let mut m = compiled.machine(dml::Mode::Checked);
-        let args = dml::Value::Tuple(std::rc::Rc::new(vec![
-            dml::Value::Int(x),
-            dml::Value::Int(y),
-            dml::Value::Int(z),
-        ]));
-        let got = m.call("f", vec![args]).unwrap().as_int().unwrap();
+        let got = interpret(&src, x, y, z);
         let want = reference(&e, x, y, z);
-        assert_eq!(got, want, "program:\n{src}");
+        assert_eq!(got, want, "program (None = Overflow):\n{src}");
     }
+}
+
+/// Inputs at the edges of `i64`: the interpreter raises `Overflow` exactly
+/// when the reference leaves `i64`, and otherwise agrees with it.
+#[test]
+fn interpreter_overflows_exactly_when_reference_does() {
+    const EDGES: [i64; 8] = [i64::MIN, i64::MIN + 1, -(1 << 32), -1, 0, 1, 1 << 32, i64::MAX];
+    let mut rng = Rng::new(0x0F10);
+    let (mut overflowed, mut finished) = (0, 0);
+    for _ in 0..96 {
+        let e = random_e(&mut rng, 3);
+        let [x, y, z] = [0; 3].map(|_| EDGES[rng.usize_in(0, EDGES.len() - 1)]);
+        let src = format!("fun f(x, y, z) = {}", render(&e));
+        let want = reference(&e, x, y, z);
+        assert_eq!(interpret(&src, x, y, z), want, "f{:?}, None = Overflow:\n{src}", (x, y, z));
+        if want.is_some() {
+            finished += 1;
+        } else {
+            overflowed += 1;
+        }
+    }
+    assert!(overflowed > 0 && finished > 0, "{overflowed} overflowed, {finished} finished");
 }
 
 /// The same programs under *eliminated* mode behave identically (there are

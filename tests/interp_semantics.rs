@@ -125,11 +125,14 @@ end
 }
 
 #[test]
-fn wrapping_arithmetic_matches_machine_ints() {
+fn overflowing_arithmetic_raises_overflow() {
+    // SML integers do not wrap: a product outside `i64` raises `Overflow`.
     let src = "fun mul(a, b) = a * b";
     let mut m = machine(src);
-    let r = m.call("mul", vec![pair(Value::Int(i64::MAX), Value::Int(2))]).unwrap();
-    assert_eq!(r.as_int(), Some(i64::MAX.wrapping_mul(2)));
+    let err = m.call("mul", vec![pair(Value::Int(i64::MAX), Value::Int(2))]).unwrap_err();
+    assert!(matches!(err, dml_eval::EvalError::Overflow(_)), "{err}");
+    let r = m.call("mul", vec![pair(Value::Int(i64::MIN), Value::Int(1))]).unwrap();
+    assert_eq!(r.as_int(), Some(i64::MIN), "results at the edge of `i64` are exact");
 }
 
 #[test]
@@ -143,4 +146,23 @@ fun f(x) =
     let mut m = machine(src);
     assert_eq!(m.call("f", vec![Value::Int(0)]).unwrap().as_int(), Some(1));
     assert_eq!(m.call("f", vec![Value::Int(5)]).unwrap().as_int(), Some(2));
+}
+
+#[test]
+fn overflow_guard_example_raises_overflow_under_validation() {
+    // A guard that only holds over ℤ: with wrapping `+`, `5 + (2^63 - 3)`
+    // would pass `i + k < length v` and the eliminated access would run
+    // out of bounds. Validation would report that as unsound; `Overflow`
+    // stops the run before the guard.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/overflow_guard.dml");
+    let compiled = compile(&std::fs::read_to_string(path).unwrap()).unwrap();
+    assert!(compiled.fully_verified());
+    let config = dml::CheckConfig::eliminated(Default::default()).with_validation();
+    let mut m = compiled.machine_with(config);
+    let err = m.call("main", vec![pair(Value::Int(5), Value::Int(i64::MAX - 2))]).unwrap_err();
+    assert!(matches!(err, dml_eval::EvalError::Overflow(_)), "{err}");
+    assert_eq!(err.exception_name(), Some("Overflow"));
+    let r = m.call("main", vec![pair(Value::Int(0), Value::Int(0))]).unwrap();
+    assert_eq!(r.as_int(), Some(7));
+    assert_eq!(m.counters.array_checks_eliminated, 1, "the in-range access ran unchecked");
 }

@@ -28,6 +28,9 @@ const SNAPSHOTS: &[(&str, usize, usize, usize, usize, bool)] = &[
     ("bcopy.dml", 26, 0, 0, 0, true),
     ("bsearch.dml", 11, 0, 0, 0, true),
     ("aliasing_trap.dml", 18, 0, 0, 0, true),
+    // Fully verified over ℤ; sound at run time because `+` raises
+    // `Overflow` instead of wrapping (tests/interp_semantics.rs).
+    ("overflow_guard.dml", 7, 0, 0, 0, true),
 ];
 
 fn counts(file: &str) -> (usize, usize, usize, usize, bool) {
